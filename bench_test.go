@@ -206,11 +206,11 @@ func BenchmarkFusedEngineB1(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanVsFused contrasts the two fused executors on the same
-// trained multi-task model: the compiled-plan engine (static buffer plan,
-// zero steady-state allocations) against the legacy closure-tree walker
-// (allocates output tensors at every layer). ReportAllocs makes the buffer
-// plan's effect visible directly in the benchmark output.
+// BenchmarkPlanVsFused contrasts the compiled-plan engine (static buffer
+// plan, folded BatchNorm, zero steady-state allocations) with the eager
+// Reference walk (allocates output tensors at every layer) on the same
+// trained multi-task model. ReportAllocs makes the buffer plan's effect
+// visible directly in the benchmark output.
 func BenchmarkPlanVsFused(b *testing.B) {
 	sc := benchScale()
 	spec, _ := bench.SpecByID("B1")
@@ -229,8 +229,8 @@ func BenchmarkPlanVsFused(b *testing.B) {
 			eng.Forward(x)
 		}
 	})
-	b.Run("closures", func(b *testing.B) {
-		eng := engine.CompileClosures(w.Teacher)
+	b.Run("eager", func(b *testing.B) {
+		eng := engine.NewReference(w.Teacher)
 		eng.Forward(x)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -400,8 +400,8 @@ func transformerBenchGraph(b *testing.B, family string) (*graph.Graph, *tensor.T
 
 // BenchmarkPlanTransformerVsEager contrasts the compiled-plan executor's
 // fused transformer ops (packed QKV GEMM, tiled flash-style attention,
-// LayerNorm+residual epilogues, static buffer plan) against the closure-tree
-// walker, which runs each layer's eager Forward — three separate Q/K/V
+// LayerNorm+residual epilogues, static buffer plan) against the eager
+// Reference walk, which runs each layer's Forward — three separate Q/K/V
 // GEMMs and a fully materialized S×S score matrix per head, with fresh
 // output tensors at every layer. Paper-width profiles so the fusions act on
 // real GEMM shapes (BENCH_PR6.json records the comparison).
@@ -418,7 +418,7 @@ func BenchmarkPlanTransformerVsEager(b *testing.B) {
 			}
 		})
 		b.Run(family+"/eager", func(b *testing.B) {
-			eng := engine.CompileClosures(g)
+			eng := engine.NewReference(g)
 			eng.Forward(x)
 			b.ReportAllocs()
 			b.ResetTimer()

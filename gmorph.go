@@ -222,10 +222,10 @@ type Config struct {
 	// fine-tune/measure jobs across the workers (see NewSearchWorker). The
 	// result is bit-identical to a local search with the same Seed.
 	Workers []string
-	// SearchBatch is the number of candidates sampled per round in the
-	// parallel/distributed optimizer (default 4). Setting it (or Workers)
-	// selects the batched optimizer; the search trajectory depends on
-	// SearchBatch but not on worker count.
+	// SearchBatch is the number of candidates sampled per search round
+	// and fine-tuned concurrently (default 1, or 4 when Workers are
+	// listed). Elites and filter history merge between rounds, so the
+	// search trajectory depends on SearchBatch but not on worker count.
 	SearchBatch int
 	// MemoPath persists the search memo (candidate outcomes, trained
 	// weights, machine-keyed latency measurements) to a JSON file: a
@@ -301,6 +301,7 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 		OnRound:          cfg.OnRound,
 		DisableMemo:      cfg.DisableSearchCache,
 		DisableWarmStart: cfg.DisableWarmStart,
+		BatchSize:        cfg.SearchBatch,
 	}
 	if cfg.OptimizeFLOPs {
 		coreCfg.Metric = core.OptimizeFLOPs
@@ -336,26 +337,24 @@ func Fuse(teachers *Model, ds *Dataset, cfg Config) (*Result, error) {
 		coreCfg.Preranker = pred
 	}
 
-	var res *core.Result
-	if len(cfg.Workers) > 0 || cfg.SearchBatch > 0 {
-		pcfg := core.ParallelConfig{Config: coreCfg, BatchSize: cfg.SearchBatch}
-		if len(cfg.Workers) > 0 {
-			sum, err := parser.Sum(teachers)
-			if err != nil {
-				return nil, fmt.Errorf("gmorph: checksumming world: %w", err)
-			}
-			pool, err := coord.NewPool(cfg.Workers, sum)
-			if err != nil {
-				return nil, err
-			}
-			pcfg.Evaluator = pool
+	// Workers only choose the evaluator: the coordinator runs the same
+	// search loop and fans each batch's fine-tunes across the fleet.
+	if len(cfg.Workers) > 0 {
+		if coreCfg.BatchSize == 0 {
+			coreCfg.BatchSize = 4
 		}
-		res = core.NewParallelOptimizer(teachers, ds, setup.targets, setup.outs,
-			ds.Train.X, setup.accOpts, pcfg).Run()
-	} else {
-		acc := estimator.NewAccuracyEstimator(ds, setup.targets, setup.outs, ds.Train.X, setup.accOpts)
-		res = core.NewOptimizer(teachers, acc, coreCfg).Run()
+		sum, err := parser.Sum(teachers)
+		if err != nil {
+			return nil, fmt.Errorf("gmorph: checksumming world: %w", err)
+		}
+		pool, err := coord.NewPool(cfg.Workers, sum)
+		if err != nil {
+			return nil, err
+		}
+		coreCfg.Evaluator = pool
 	}
+	res := core.NewOptimizer(teachers, ds, setup.targets, setup.outs,
+		ds.Train.X, setup.accOpts, coreCfg).Run()
 
 	if memo != nil {
 		if err := memo.Save(); err != nil {
@@ -422,7 +421,7 @@ func (cfg Config) searchDefaults() Config {
 	return cfg
 }
 
-// searchSetup holds the evaluation inputs shared by the local optimizers,
+// searchSetup holds the evaluation inputs shared by the local search,
 // the coordinator, and search workers.
 type searchSetup struct {
 	targets map[int]float64

@@ -36,13 +36,13 @@ func RunAblationPairsPerPass(sc Scale, drop float64, values []int) ([]AblationPo
 	origLat := estimator.Latency(w.Teacher, latOpts)
 	var out []AblationPoint
 	for _, v := range values {
-		acc := estimator.NewAccuracyEstimator(w.Dataset, w.Targets(drop), w.Outputs, w.Dataset.Train.X, w.accOptions(VariantPlain))
-		opt := core.NewOptimizer(w.Teacher, acc, core.Config{
-			Rounds:          sc.Rounds,
-			MaxPairsPerPass: v,
-			Seed:            sc.Seed ^ uint64(v),
-			Latency:         latOpts,
-		})
+		opt := core.NewOptimizer(w.Teacher, w.Dataset, w.Targets(drop), w.Outputs, w.Dataset.Train.X,
+			w.accOptions(VariantPlain), core.Config{
+				Rounds:          sc.Rounds,
+				MaxPairsPerPass: v,
+				Seed:            sc.Seed ^ uint64(v),
+				Latency:         latOpts,
+			})
 		res := opt.Run()
 		p := AblationPoint{
 			Setting:       fmt.Sprintf("pairs=%d", v),
@@ -73,15 +73,15 @@ func RunAblationEliteCapacity(sc Scale, drop float64, values []int) ([]AblationP
 	origLat := estimator.Latency(w.Teacher, latOpts)
 	var out []AblationPoint
 	for _, v := range values {
-		acc := estimator.NewAccuracyEstimator(w.Dataset, w.Targets(drop), w.Outputs, w.Dataset.Train.X, w.accOptions(VariantPlain))
 		pol := core.NewSAPolicy()
 		pol.MaxElites = v
-		opt := core.NewOptimizer(w.Teacher, acc, core.Config{
-			Rounds:  sc.Rounds,
-			Policy:  pol,
-			Seed:    sc.Seed ^ uint64(0xE11+v),
-			Latency: latOpts,
-		})
+		opt := core.NewOptimizer(w.Teacher, w.Dataset, w.Targets(drop), w.Outputs, w.Dataset.Train.X,
+			w.accOptions(VariantPlain), core.Config{
+				Rounds:  sc.Rounds,
+				Policy:  pol,
+				Seed:    sc.Seed ^ uint64(0xE11+v),
+				Latency: latOpts,
+			})
 		res := opt.Run()
 		p := AblationPoint{
 			Setting:       fmt.Sprintf("elites=%d", v),

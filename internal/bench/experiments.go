@@ -43,17 +43,17 @@ func (w *Workload) accOptions(variant string) estimator.AccuracyOptions {
 // drop threshold and variant, returning the core result plus the original
 // graph's measured latency.
 func (w *Workload) Search(drop float64, variant string, rounds int, seed uint64) (*core.Result, time.Duration) {
-	acc := estimator.NewAccuracyEstimator(w.Dataset, w.Targets(drop), w.Outputs, w.Dataset.Train.X, w.accOptions(variant))
 	var policy core.Policy = core.NewSAPolicy()
 	if variant == VariantRandom {
 		policy = core.RandomPolicy{}
 	}
-	opt := core.NewOptimizer(w.Teacher, acc, core.Config{
-		Rounds:  rounds,
-		Policy:  policy,
-		Seed:    seed,
-		Latency: latOpts,
-	})
+	opt := core.NewOptimizer(w.Teacher, w.Dataset, w.Targets(drop), w.Outputs, w.Dataset.Train.X,
+		w.accOptions(variant), core.Config{
+			Rounds:  rounds,
+			Policy:  policy,
+			Seed:    seed,
+			Latency: latOpts,
+		})
 	res := opt.Run()
 	orig := estimator.Latency(w.Teacher, latOpts)
 	return res, orig

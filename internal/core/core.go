@@ -10,10 +10,14 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"time"
 
+	"repro/internal/data"
+	"repro/internal/distill"
 	"repro/internal/estimator"
+	"repro/internal/filter"
 	"repro/internal/fingerprint"
 	"repro/internal/graph"
 	"repro/internal/mutation"
@@ -126,7 +130,8 @@ const (
 
 // Config parameterizes the optimization loop.
 type Config struct {
-	// Rounds is N, the number of mutation iterations (paper: 200).
+	// Rounds is N, the number of mutation iterations (paper: 200): one
+	// candidate each, whatever BatchSize.
 	Rounds int
 	// MaxPairsPerPass bounds how many node pairs one mutation pass applies
 	// (1-2 in the paper's examples; default 2).
@@ -167,6 +172,17 @@ type Config struct {
 	// may veto fine-tuning (see Preranker). internal/search/predict
 	// provides the learned implementation.
 	Preranker Preranker
+	// BatchSize is the number of candidates sampled per round, the
+	// parallel simulated annealing of the paper's Discussion (Section 7).
+	// Elites, filter history and the memo merge between rounds. Default 1:
+	// the serial loop of Algorithm 1.
+	BatchSize int
+	// Evaluator fine-tunes each round's candidates. Nil means in-process
+	// evaluation (a LocalEvaluator); a coord.Pool fans the batch out
+	// across worker processes. Fine-tune seeds are a pure function of
+	// fingerprints, so every evaluator, at any concurrency, yields the
+	// same search trajectory.
+	Evaluator BatchEvaluator
 }
 
 func (c Config) withDefaults() Config {
@@ -178,6 +194,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Policy == nil {
 		c.Policy = NewSAPolicy()
+	}
+	if c.BatchSize <= 0 {
+		c.BatchSize = 1
 	}
 	return c
 }
@@ -238,32 +257,89 @@ type Result struct {
 	Decisions []explain.Decision
 }
 
-// Optimizer runs graph mutation optimization (Algorithm 1).
+// Optimizer runs graph mutation optimization (Algorithm 1). Each round has
+// three phases: a serial phase samples BatchSize candidates and applies
+// every filter (rule, memo, pre-ranker), the Evaluator fine-tunes the
+// survivors — concurrently when it has several slots or workers — and a
+// second serial phase merges the outcomes in sampling order. All search
+// state is read and written only in the serial phases, so the trajectory
+// depends on the seed and BatchSize, never on evaluation concurrency.
+// BatchSize 1 is the paper's serial loop.
 type Optimizer struct {
 	cfg      Config
-	acc      *estimator.AccuracyEstimator
 	original *graph.Graph
+	targets  map[int]float64
+	useRule  bool
 }
 
-// NewOptimizer builds an optimizer over the original multi-DNN graph. The
-// accuracy estimator owns the dataset, teacher outputs, and filtering
-// configuration.
-func NewOptimizer(original *graph.Graph, acc *estimator.AccuracyEstimator, cfg Config) *Optimizer {
-	return &Optimizer{cfg: cfg.withDefaults(), acc: acc, original: original}
+// NewOptimizer builds an optimizer over the original multi-DNN graph from
+// the raw evaluation inputs: the dataset, per-task targets, teacher outputs
+// and fine-tuning options. accOpts.UseRuleFilter turns on capacity-rule
+// skipping. When cfg.Evaluator is nil the candidates are evaluated in
+// process by a LocalEvaluator with min(BatchSize, GOMAXPROCS) slots.
+func NewOptimizer(original *graph.Graph, ds *data.Dataset, targets map[int]float64,
+	outs distill.TeacherOutputs, trainX *tensor.Tensor, accOpts estimator.AccuracyOptions,
+	cfg Config) *Optimizer {
+	cfg = cfg.withDefaults()
+	if cfg.Evaluator == nil {
+		slots := min(cfg.BatchSize, runtime.GOMAXPROCS(0))
+		cfg.Evaluator = NewLocalEvaluator(ds, targets, outs, trainX, accOpts, slots)
+	}
+	return &Optimizer{cfg: cfg, original: original, targets: targets, useRule: accOpts.UseRuleFilter}
+}
+
+// job is one sampled candidate awaiting evaluation.
+type job struct {
+	iteration int
+	// mutErr marks an iteration whose mutation pass failed: it produces no
+	// candidate, only a failed observation for the policy.
+	mutErr    bool
+	cand      *graph.Graph
+	fromElite bool
+	mutation  string
+	profile   graph.CapacityProfile
+	skipped   bool
+	// fp is the candidate's structural fingerprint (only set when the
+	// candidate was not rule-skipped).
+	fp uint64
+	// entry, when non-nil, is the memoized outcome the merge phase replays
+	// instead of evaluating the candidate.
+	entry *MemoEntry
+	// alias marks a duplicate of an earlier fresh candidate in the same
+	// batch: it replays that candidate's freshly merged memo entry instead
+	// of re-evaluating, so a duplicate-heavy batch measures each structure
+	// exactly once.
+	alias bool
+	// feats is the candidate's feature vector (fresh candidates only).
+	feats []float64
+	// score is the pre-ranker's assessment (fresh candidates only).
+	score PrerankScore
+	// evalIdx indexes this job's EvalOutcome in the round's evaluation
+	// batch, -1 when the job does not evaluate.
+	evalIdx int
+}
+
+// outcome is the result of merging one candidate.
+type outcome struct {
+	trace Trace
+	dec   explain.Decision
+	elite *Elite
+	drop  float64
 }
 
 // Run executes the optimization loop and returns the best model found.
+// Rounds is the candidate budget: exactly Rounds iterations are consumed
+// (the last batch is partial when BatchSize does not divide Rounds) unless
+// the time budget runs out or the base graph has no shareable pairs left.
 func (o *Optimizer) Run() *Result {
 	cfg := o.cfg
 	rng := tensor.NewRNG(cfg.Seed)
 	mut := mutation.NewMutator(rng.Split())
 	res := &Result{}
-	if len(cfg.InitialElites) > 0 {
-		res.Elites = append(res.Elites, cfg.InitialElites...)
-		for _, e := range res.Elites {
-			if res.Best == nil || o.better(e, res.Best) {
-				res.Best = e
-			}
+	for _, e := range cfg.InitialElites {
+		res.Elites = append(res.Elites, e)
+		if res.Best == nil || o.better(e, res.Best) {
+			res.Best = e
 		}
 	}
 	start := time.Now()
@@ -281,199 +357,275 @@ func (o *Optimizer) Run() *Result {
 		FLOPs:   estimator.FLOPs(o.original),
 	}
 	origParams := o.original.Capacity().Total
+	// The rule filter decides at sampling time and learns failures at merge
+	// time, and the memo is read while sampling and written while merging:
+	// both see one history for any evaluation concurrency.
+	rule := filter.NewRuleBased()
 	memo := newSearchCache(!cfg.DisableMemo, cfg.Memo)
-	// The estimator may be shared across Run calls; snapshot its counters so
-	// Result.Stats reports this run's work only.
-	skip0, term0, ft0, ep0 := o.acc.SkippedByRule, o.acc.EarlyTerminated, o.acc.FineTuned, o.acc.TotalEpochs
-	ws0, wf0 := o.acc.WarmStarted, o.acc.WarmFallbacks
 
-	// addElite appends a target-meeting candidate, trims the list to the
-	// policy capacity, and advances Best past the incumbent guard.
-	addElite := func(el *Elite) {
-		res.Elites = append(res.Elites, el)
-		if len(res.Elites) > maxElites {
-			res.Elites = res.Elites[1:]
-		}
-		if (res.Best == nil && o.better(el, incumbent)) ||
-			(res.Best != nil && o.better(el, res.Best)) {
-			res.Best = el
-		}
-	}
-
-	for iter := cfg.StartIteration + 1; iter <= cfg.StartIteration+cfg.Rounds; iter++ {
+	iter, last := cfg.StartIteration, cfg.StartIteration+cfg.Rounds
+	for exhausted := false; iter < last && !exhausted; {
 		if cfg.TimeBudget > 0 && time.Since(start) > cfg.TimeBudget {
 			break
 		}
-		// Step 1: sample a base graph and a set of node pairs; mutate.
-		base := cfg.Policy.PickBase(o.original, res.Elites, rng)
-		fromElite := base != o.original
-		pairs := base.ShareablePairs()
-		if len(pairs) == 0 {
-			break
-		}
-		k := 1 + rng.Intn(cfg.MaxPairsPerPass)
-		chosen := make([]graph.Pair, 0, k)
-		for i := 0; i < k; i++ {
-			chosen = append(chosen, pairs[rng.Intn(len(pairs))])
-		}
-		mres, err := mut.Apply(base, chosen)
-		if err != nil {
-			cfg.Policy.Observe(iter, 1, false, len(res.Elites))
-			continue
-		}
-		cand := mres.Graph
-
-		// Step 2: evaluate the candidate. The rule filter decides first —
-		// same order as an uncached search — then the fingerprint memo is
-		// consulted, then the learned pre-ranker, and only a candidate that
-		// clears all three pays for fine-tuning.
-		res.Evaluated++
-		cand.RefreshCapacities()
-		profile := cand.Capacity()
-		tr := Trace{Iteration: iter, FromElite: fromElite}
-		dec := explain.Decision{
-			Iteration: iter, FromElite: fromElite, Mutation: describePairs(chosen),
-		}
-		drop := 1.0
-		met := false
-		switch {
-		case o.acc.SkipByRule(profile):
-			tr.Skipped = true
-			dec.Outcome, dec.Rule = explain.OutcomeSkipped, explain.RuleCapacity
-
-		default:
-			fp := fingerprint.Hash(cand)
-			dec.Fingerprint = fpKey(fp)
-			if entry := memo.lookup(fp, &res.Stats); entry != nil {
-				// Replay the memoized outcome: round bookkeeping, filter
-				// history, and (for a met candidate) the trained weights all
-				// reproduce the original evaluation without re-distilling.
-				tr.CacheHit = true
-				tr.Met, tr.Terminated = entry.Met, entry.Terminated
-				tr.EpochsRun, tr.FineTuneTime = entry.EpochsRun, entry.TrainTime
-				tr.WarmStarted = entry.WarmStarted
-				met = entry.Met
-				dec.CacheHit, dec.Rule = true, explain.RuleMemo
-				dec.EpochsRun, dec.Warm = entry.EpochsRun, entry.WarmStarted
-				if entry.Met {
-					g := replayGraph(cand, entry)
-					lat := memo.latency(fp, &res.Stats, func() time.Duration {
-						return estimator.Latency(g, cfg.Latency)
-					})
-					acc := copyAccuracy(entry.Accuracy)
-					el := &Elite{
-						Graph: g, Latency: lat, FLOPs: entry.FLOPs, Accuracy: acc,
-						FromElite: fromElite, FineTuneTime: entry.TrainTime, Iteration: iter,
-					}
-					addElite(el)
-					tr.Latency = lat
-					if drop = -o.acc.Eval.MinMargin(acc); drop < 0 {
-						drop = 0
-					}
-					dec.Outcome = explain.OutcomeAccepted
-					dec.Measured = &explain.Scores{Margin: entry.Margin, LatencyNS: float64(lat)}
-					dec.Accuracy = copyAccuracy(entry.Accuracy)
-					dec.Elite, dec.Best = true, res.Best == el
+		// Phase 1 (serial): sample the round's candidates. Every draw —
+		// base pick, pair choice, mutation, fine-tune seed — comes from the
+		// seeded streams in a fixed order, and every filter decides here.
+		var jobs []job
+		var evalJobs []EvalJob
+		batchFp := make(map[uint64]bool)
+		for c := 0; c < cfg.BatchSize && iter < last; c++ {
+			iter++
+			base := cfg.Policy.PickBase(o.original, res.Elites, rng)
+			pairs := base.ShareablePairs()
+			if len(pairs) == 0 {
+				exhausted = true
+				break
+			}
+			k := 1 + rng.Intn(cfg.MaxPairsPerPass)
+			chosen := make([]graph.Pair, 0, k)
+			for i := 0; i < k; i++ {
+				chosen = append(chosen, pairs[rng.Intn(len(pairs))])
+			}
+			mres, err := mut.Apply(base, chosen)
+			if err != nil {
+				jobs = append(jobs, job{iteration: iter, mutErr: true})
+				continue
+			}
+			j := job{
+				iteration: iter, cand: mres.Graph, fromElite: base != o.original,
+				mutation: describePairs(chosen), evalIdx: -1,
+			}
+			j.cand.RefreshCapacities()
+			j.profile = j.cand.Capacity()
+			if o.useRule && rule.ShouldSkip(j.profile) {
+				j.skipped = true
+				res.Stats.SkippedByRule++
+				jobs = append(jobs, j)
+				continue
+			}
+			j.fp = fingerprint.Hash(j.cand)
+			if memo.enabled {
+				if j.entry = memo.store.Lookup(j.fp); j.entry != nil {
+					res.Stats.CacheHits++
+				} else if batchFp[j.fp] {
+					// An earlier candidate in this batch has the same
+					// structure; its (identically seeded) evaluation will
+					// stand in for this one.
+					res.Stats.CacheHits++
+					j.alias = true
 				} else {
-					o.acc.RecordFailure(profile)
-					dec.Outcome = explain.OutcomeRejected
-					dec.Measured = &explain.Scores{Margin: entry.Margin}
-				}
-			} else {
-				feats := Features(cand, profile, incumbent.FLOPs, origParams)
-				var sc PrerankScore
-				if cfg.Preranker != nil {
-					sc = cfg.Preranker.Assess(feats)
-					if sc.Trained {
-						dec.Predicted = &explain.Scores{Margin: sc.Margin, LatencyNS: sc.LatencyNS}
-					}
-				}
-				if sc.Skip {
-					// The pre-ranker predicts the accuracy budget is violated
-					// by more than the margin: reject without fine-tuning. The
-					// candidate is not memoized, so forced exploration (or a
-					// retrained model) can still measure the structure later.
-					res.Stats.PredictorSkipped++
-					tr.PredictorSkipped = true
-					dec.Outcome, dec.Rule = explain.OutcomeSkipped, explain.RulePredictor
-					if drop = -sc.Margin; drop < 0 {
-						drop = 0
-					}
-				} else {
-					if sc.Forced {
-						res.Stats.PredictorForced++
-						dec.Forced = true
-					}
-					warm := fromElite && !cfg.DisableWarmStart
-					out := o.acc.FineTuneCandidate(cand, profile, memoSeed(cfg.Seed, fp), warm)
-					met = out.Met
-					entry := &MemoEntry{Met: out.Met, Margin: -1, Features: feats}
-					if rep := out.Report; rep != nil {
-						tr.Met, tr.Terminated = rep.Met, rep.Terminated
-						tr.FineTuneTime, tr.EpochsRun = rep.TrainTime, rep.EpochsRun
-						tr.WarmStarted = rep.WarmStarted
-						entry.Terminated, entry.EpochsRun = rep.Terminated, rep.EpochsRun
-						entry.TrainTime = rep.TrainTime
-						entry.WarmStarted, entry.WarmFellBack = rep.WarmStarted, rep.WarmFellBack
-						if len(rep.Final) > 0 {
-							entry.Margin = o.acc.Eval.MinMargin(rep.Final)
-						}
-					}
-					latNS := -1.0
-					if out.Met {
-						entry.Trained = cand
-						entry.FLOPs = estimator.FLOPs(cand)
-						entry.Accuracy = copyAccuracy(out.Report.Final)
-						lat := memo.latency(fp, &res.Stats, func() time.Duration {
-							return estimator.Latency(cand, cfg.Latency)
-						})
-						latNS = float64(lat)
-						el := &Elite{
-							Graph: cand, Latency: lat, FLOPs: entry.FLOPs, Accuracy: out.Report.Final,
-							FromElite: fromElite, FineTuneTime: out.Report.TrainTime, Iteration: iter,
-						}
-						addElite(el)
-						tr.Latency = lat
-						if drop = -o.acc.Eval.MinMargin(out.Report.Final); drop < 0 {
-							drop = 0
-						}
-						dec.Outcome, dec.Rule = explain.OutcomeAccepted, explain.RuleAccuracyMet
-						dec.Accuracy = copyAccuracy(out.Report.Final)
-						dec.Elite, dec.Best = true, res.Best == el
-					} else {
-						dec.Outcome, dec.Rule = explain.OutcomeRejected, explain.RuleAccuracyBudget
-					}
-					dec.Measured = &explain.Scores{Margin: entry.Margin}
-					if latNS > 0 {
-						dec.Measured.LatencyNS = latNS
-					}
-					dec.EpochsRun, dec.Warm = tr.EpochsRun, tr.WarmStarted
-					memo.insert(fp, entry)
-					if cfg.Preranker != nil {
-						cfg.Preranker.Observe(feats, latNS, entry.Margin)
-					}
+					res.Stats.CacheMisses++
 				}
 			}
+			if j.entry == nil && !j.alias {
+				j.feats = Features(j.cand, j.profile, incumbent.FLOPs, origParams)
+				if cfg.Preranker != nil {
+					j.score = cfg.Preranker.Assess(j.feats)
+				}
+				if j.score.Skip {
+					res.Stats.PredictorSkipped++
+				} else {
+					if j.score.Forced {
+						res.Stats.PredictorForced++
+					}
+					batchFp[j.fp] = true
+					// The fine-tune seed is a function of the search seed and
+					// the structural fingerprint, so duplicates train
+					// identically — which is what makes a memo replay (or a
+					// remote evaluation) equivalent to re-evaluating.
+					j.evalIdx = len(evalJobs)
+					evalJobs = append(evalJobs, EvalJob{
+						Cand: j.cand, Seed: memoSeed(cfg.Seed, j.fp),
+						Warm: j.fromElite && !cfg.DisableWarmStart,
+					})
+				}
+			}
+			jobs = append(jobs, j)
 		}
-		if res.Best != nil {
-			tr.BestLatency = res.Best.Latency
+
+		// Phase 2 (parallel): fine-tune the surviving candidates.
+		var evalOuts []EvalOutcome
+		if len(evalJobs) > 0 {
+			evalOuts = cfg.Evaluator.EvaluateBatch(evalJobs)
 		}
-		tr.Elapsed = time.Since(start)
-		res.Traces = append(res.Traces, tr)
-		res.Decisions = append(res.Decisions, dec)
-		if cfg.OnRound != nil {
-			cfg.OnRound(tr)
+
+		// Phase 3 (serial): merge outcomes in sampling order. Everything the
+		// next round's sampling can observe — elites, filter history, the
+		// memo, the pre-ranker, latency measurements, policy feedback — is
+		// produced here.
+		for ji := range jobs {
+			j := &jobs[ji]
+			if j.mutErr {
+				cfg.Policy.Observe(j.iteration, 1, false, len(res.Elites))
+				continue
+			}
+			res.Evaluated++
+			oc := o.merge(j, evalOuts, memo, rule, &res.Stats)
+			if oc.elite != nil {
+				res.Elites = append(res.Elites, oc.elite)
+				if len(res.Elites) > maxElites {
+					res.Elites = res.Elites[1:]
+				}
+				if (res.Best == nil && o.better(oc.elite, incumbent)) ||
+					(res.Best != nil && o.better(oc.elite, res.Best)) {
+					res.Best = oc.elite
+				}
+				oc.dec.Elite, oc.dec.Best = true, res.Best == oc.elite
+			}
+			if res.Best != nil {
+				oc.trace.BestLatency = res.Best.Latency
+			}
+			oc.trace.Elapsed = time.Since(start)
+			res.Traces = append(res.Traces, oc.trace)
+			res.Decisions = append(res.Decisions, oc.dec)
+			if cfg.OnRound != nil {
+				cfg.OnRound(oc.trace)
+			}
+			cfg.Policy.Observe(j.iteration, oc.drop, oc.elite != nil, len(res.Elites))
 		}
-		cfg.Policy.Observe(iter, drop, met, len(res.Elites))
 	}
-	res.Stats.SkippedByRule = o.acc.SkippedByRule - skip0
-	res.Stats.EarlyTerminated = o.acc.EarlyTerminated - term0
-	res.Stats.FineTuned = o.acc.FineTuned - ft0
-	res.Stats.TotalEpochs = o.acc.TotalEpochs - ep0
-	res.Stats.WarmStarted = o.acc.WarmStarted - ws0
-	res.Stats.WarmFallbacks = o.acc.WarmFallbacks - wf0
 	res.SearchTime = time.Since(start)
 	return res
+}
+
+// merge folds one candidate's outcome into the memo, the rule history, the
+// pre-ranker and the stats, and explains it. It runs in the serial phase,
+// in sampling order.
+func (o *Optimizer) merge(j *job, evalOuts []EvalOutcome, memo *searchCache,
+	rule *filter.RuleBased, st *SearchStats) outcome {
+	cfg := o.cfg
+	oc := outcome{drop: 1}
+	oc.trace = Trace{Iteration: j.iteration, Skipped: j.skipped, FromElite: j.fromElite}
+	oc.dec = explain.Decision{Iteration: j.iteration, FromElite: j.fromElite, Mutation: j.mutation}
+	dec := &oc.dec
+	if !j.skipped {
+		dec.Fingerprint = fpKey(j.fp)
+	}
+	if j.score.Trained {
+		dec.Predicted = &explain.Scores{Margin: j.score.Margin, LatencyNS: j.score.LatencyNS}
+	}
+	// accept makes a trained candidate that met the targets this round's
+	// elite, measuring (or replaying) its latency.
+	accept := func(g *graph.Graph, flops int64, acc map[int]float64, train time.Duration) {
+		lat := memo.latency(j.fp, st, func() time.Duration { return estimator.Latency(g, cfg.Latency) })
+		oc.elite = &Elite{
+			Graph: g, Latency: lat, FLOPs: flops, Accuracy: acc,
+			FromElite: j.fromElite, FineTuneTime: train, Iteration: j.iteration,
+		}
+		oc.trace.Latency = lat
+		if oc.drop = -minMargin(o.targets, acc); oc.drop < 0 {
+			oc.drop = 0
+		}
+		dec.Accuracy = copyAccuracy(acc)
+	}
+	// replay folds a memoized (or batch-aliased) entry into the round:
+	// round bookkeeping, filter history and, for a met candidate, the
+	// trained weights all reproduce the original evaluation.
+	replay := func(e *MemoEntry, detail string) {
+		oc.trace.CacheHit = true
+		oc.trace.Met, oc.trace.Terminated = e.Met, e.Terminated
+		oc.trace.EpochsRun, oc.trace.FineTuneTime = e.EpochsRun, e.TrainTime
+		oc.trace.WarmStarted = e.WarmStarted
+		dec.CacheHit, dec.Rule = true, explain.RuleMemo
+		dec.EpochsRun, dec.Warm, dec.Detail = e.EpochsRun, e.WarmStarted, detail
+		dec.Measured = &explain.Scores{Margin: e.Margin}
+		if e.Met {
+			accept(replayGraph(j.cand, e), e.FLOPs, copyAccuracy(e.Accuracy), e.TrainTime)
+			dec.Outcome = explain.OutcomeAccepted
+			dec.Measured.LatencyNS = float64(oc.trace.Latency)
+		} else {
+			rule.RecordFailure(j.profile)
+			dec.Outcome = explain.OutcomeRejected
+		}
+	}
+
+	switch {
+	case j.skipped:
+		// Rule-skipped candidates record no failure: the rule already
+		// acted on the history that produced it.
+		dec.Outcome, dec.Rule = explain.OutcomeSkipped, explain.RuleCapacity
+
+	case j.entry != nil:
+		replay(j.entry, "")
+
+	case j.alias:
+		// The first occurrence of this fingerprint merged earlier in this
+		// batch; replay the entry it just published.
+		if e := memo.store.Lookup(j.fp); e != nil {
+			replay(e, "replayed a duplicate evaluated earlier in the same batch")
+		} else {
+			// The original evaluation errored and was not memoized.
+			st.EvalErrors++
+			dec.Outcome, dec.Rule = explain.OutcomeRejected, explain.RuleEvalError
+			dec.Detail = "duplicate of a candidate whose evaluation failed"
+		}
+
+	case j.score.Skip:
+		// The pre-ranker predicts the accuracy budget is violated by more
+		// than its margin. The candidate is not memoized, so forced
+		// exploration (or a retrained model) can still measure it later.
+		oc.trace.PredictorSkipped = true
+		dec.Outcome, dec.Rule = explain.OutcomeSkipped, explain.RulePredictor
+		if oc.drop = -j.score.Margin; oc.drop < 0 {
+			oc.drop = 0
+		}
+
+	default:
+		out := evalOuts[j.evalIdx]
+		if out.Err != nil {
+			st.EvalErrors++
+			dec.Outcome, dec.Rule = explain.OutcomeRejected, explain.RuleEvalError
+			dec.Detail = out.Err.Error()
+			break
+		}
+		dec.Forced = j.score.Forced
+		st.FineTuned++
+		e := &MemoEntry{Met: out.Met, Margin: -1, Features: j.feats}
+		if rep := out.Report; rep != nil {
+			oc.trace.Met, oc.trace.Terminated = rep.Met, rep.Terminated
+			oc.trace.FineTuneTime, oc.trace.EpochsRun = rep.TrainTime, rep.EpochsRun
+			oc.trace.WarmStarted = rep.WarmStarted
+			e.Terminated, e.EpochsRun = rep.Terminated, rep.EpochsRun
+			e.TrainTime = rep.TrainTime
+			e.WarmStarted, e.WarmFellBack = rep.WarmStarted, rep.WarmFellBack
+			st.TotalEpochs += rep.EpochsRun
+			if rep.Terminated {
+				st.EarlyTerminated++
+			}
+			if rep.WarmStarted {
+				st.WarmStarted++
+			}
+			if rep.WarmFellBack {
+				st.WarmFallbacks++
+			}
+			if len(rep.Final) > 0 {
+				e.Margin = minMargin(o.targets, rep.Final)
+			}
+		}
+		dec.Measured = &explain.Scores{Margin: e.Margin}
+		latNS := -1.0
+		if out.Met {
+			if e.Trained = out.Trained; e.Trained == nil {
+				e.Trained = j.cand
+			}
+			e.FLOPs = estimator.FLOPs(e.Trained)
+			e.Accuracy = copyAccuracy(out.Report.Final)
+			accept(e.Trained, e.FLOPs, out.Report.Final, out.Report.TrainTime)
+			latNS = float64(oc.trace.Latency)
+			dec.Measured.LatencyNS = latNS
+			dec.Outcome, dec.Rule = explain.OutcomeAccepted, explain.RuleAccuracyMet
+		} else {
+			rule.RecordFailure(j.profile)
+			dec.Outcome, dec.Rule = explain.OutcomeRejected, explain.RuleAccuracyBudget
+		}
+		dec.EpochsRun, dec.Warm = oc.trace.EpochsRun, oc.trace.WarmStarted
+		memo.insert(j.fp, e)
+		if cfg.Preranker != nil {
+			cfg.Preranker.Observe(j.feats, latNS, e.Margin)
+		}
+	}
+	return oc
 }
 
 // better compares candidates under the configured metric.
@@ -482,6 +634,20 @@ func (o *Optimizer) better(a, b *Elite) bool {
 		return a.FLOPs < b.FLOPs
 	}
 	return a.Latency < b.Latency
+}
+
+// minMargin is the smallest per-task headroom of acc over targets.
+func minMargin(targets, acc map[int]float64) float64 {
+	first := true
+	var m float64
+	for id, t := range targets {
+		d := acc[id] - t
+		if first || d < m {
+			m = d
+			first = false
+		}
+	}
+	return m
 }
 
 // describePairs renders the share-point pairs one mutation pass merged, for

@@ -2,37 +2,15 @@ package core_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/distill"
 	"repro/internal/estimator"
-	"repro/internal/graph"
+	"repro/internal/search/explain"
 	"repro/internal/tensor"
 	"repro/internal/testutil"
 )
-
-// buildFixture shares a pre-trained teacher setup across the search tests.
-func buildFixture(t *testing.T) (*graph.Graph, distill.TeacherOutputs, map[int]float64, *estimator.AccuracyEstimator) {
-	t.Helper()
-	ds := testutil.TinyFace(41, 96, 48)
-	teacher := testutil.TinyMultiDNN(42, ds)
-	teach := testutil.PretrainTeachers(teacher, ds, 8, 0.004, 43)
-	for id, a := range teach {
-		if a < 0.7 {
-			t.Fatalf("teacher too weak: task %d at %.2f", id, a)
-		}
-	}
-	outs := distill.ComputeTeacherOutputs(teacher, ds.Train.X, 32)
-	targets := map[int]float64{}
-	for id, a := range teach {
-		targets[id] = a - 0.12
-	}
-	acc := estimator.NewAccuracyEstimator(ds, targets, outs, ds.Train.X, estimator.AccuracyOptions{
-		FineTune: distill.Config{LR: 0.003, Epochs: 12, Batch: 16, EvalEvery: 2},
-	})
-	return teacher, outs, teach, acc
-}
 
 func TestSAPolicyProbabilityEvolution(t *testing.T) {
 	p := core.NewSAPolicy()
@@ -115,8 +93,8 @@ func TestRandomPolicyAlwaysOriginal(t *testing.T) {
 }
 
 func TestOptimizerFindsFasterModel(t *testing.T) {
-	teacher, _, _, acc := buildFixture(t)
-	opt := core.NewOptimizer(teacher, acc, core.Config{
+	w := buildFixture(t)
+	opt := w.optimizer(core.Config{
 		Rounds:          10,
 		MaxPairsPerPass: 2,
 		Seed:            7,
@@ -126,8 +104,8 @@ func TestOptimizerFindsFasterModel(t *testing.T) {
 	if res.Best == nil {
 		t.Fatal("search found no model meeting the targets")
 	}
-	if res.Best.FLOPs >= teacher.FLOPs() {
-		t.Fatalf("best model FLOPs %d not below original %d", res.Best.FLOPs, teacher.FLOPs())
+	if res.Best.FLOPs >= w.teacher.FLOPs() {
+		t.Fatalf("best model FLOPs %d not below original %d", res.Best.FLOPs, w.teacher.FLOPs())
 	}
 	if err := res.Best.Graph.Validate(); err != nil {
 		t.Fatalf("best model invalid: %v", err)
@@ -146,14 +124,14 @@ func TestOptimizerFindsFasterModel(t *testing.T) {
 		}
 	}
 	// The original graph must be untouched by the search.
-	if err := teacher.Validate(); err != nil {
+	if err := w.teacher.Validate(); err != nil {
 		t.Fatalf("search corrupted the original graph: %v", err)
 	}
 }
 
 func TestOptimizerRespectsTimeBudget(t *testing.T) {
-	teacher, _, _, acc := buildFixture(t)
-	opt := core.NewOptimizer(teacher, acc, core.Config{
+	w := buildFixture(t)
+	opt := w.optimizer(core.Config{
 		Rounds:     1000,
 		Seed:       9,
 		TimeBudget: 1, // nanosecond: stop immediately
@@ -165,9 +143,9 @@ func TestOptimizerRespectsTimeBudget(t *testing.T) {
 }
 
 func TestOptimizerOnRoundCallback(t *testing.T) {
-	teacher, _, _, acc := buildFixture(t)
+	w := buildFixture(t)
 	var calls int
-	opt := core.NewOptimizer(teacher, acc, core.Config{
+	opt := w.optimizer(core.Config{
 		Rounds: 3,
 		Seed:   11,
 		OnRound: func(tr core.Trace) {
@@ -188,14 +166,131 @@ func TestOptimizerOnRoundCallback(t *testing.T) {
 // latency-inflating candidate space the result is "no best", not a
 // regression.
 func TestOptimizerNeverRegressesBelowIncumbent(t *testing.T) {
-	teacher, _, _, acc := buildFixture(t)
-	opt := core.NewOptimizer(teacher, acc, core.Config{
+	w := buildFixture(t)
+	opt := w.optimizer(core.Config{
 		Rounds:  8,
 		Seed:    21,
 		Latency: estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 3},
 	})
 	res := opt.Run()
-	if res.Best != nil && res.Best.FLOPs > teacher.FLOPs() {
-		t.Fatalf("best model costs %d FLOPs, original %d", res.Best.FLOPs, teacher.FLOPs())
+	if res.Best != nil && res.Best.FLOPs > w.teacher.FLOPs() {
+		t.Fatalf("best model costs %d FLOPs, original %d", res.Best.FLOPs, w.teacher.FLOPs())
+	}
+}
+
+func TestBatchedOptimizerFindsFasterModel(t *testing.T) {
+	w := newWorld(141, 96, 48, 8, 0.12, plainOpts)
+	opt := w.optimizer(core.Config{
+		Rounds:    8,
+		Seed:      7,
+		BatchSize: 4,
+		Evaluator: w.evaluator(2),
+		Latency:   estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 3},
+	})
+	res := opt.Run()
+	if res.Evaluated == 0 {
+		t.Fatal("no candidates evaluated")
+	}
+	if res.Best == nil {
+		t.Fatal("batched search found no model meeting the targets")
+	}
+	if err := res.Best.Graph.Validate(); err != nil {
+		t.Fatalf("best model invalid: %v", err)
+	}
+	if res.Best.FLOPs >= w.teacher.FLOPs() {
+		t.Fatal("best model does not reduce FLOPs")
+	}
+	// Accuracy meets targets.
+	for id, target := range w.targets {
+		if res.Best.Accuracy[id] < target {
+			t.Fatalf("task %d accuracy %.3f below target %.3f", id, res.Best.Accuracy[id], target)
+		}
+	}
+	if err := w.teacher.Validate(); err != nil {
+		t.Fatalf("batched search corrupted the original: %v", err)
+	}
+}
+
+// Rounds is the candidate budget whatever the batch size: a batch size that
+// does not divide it ends on a partial batch, so the search consumes exactly
+// the iterations a resumed schedule will skip past.
+func TestOptimizerRunsExactlyRounds(t *testing.T) {
+	w := smallWorld()
+	res := w.optimizer(core.Config{
+		Rounds:          10,
+		MaxPairsPerPass: 1,
+		Seed:            7,
+		BatchSize:       4,
+		StartIteration:  20,
+		Latency:         estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
+	}).Run()
+	if len(res.Traces) != 10 || res.Evaluated != 10 {
+		t.Fatalf("ran %d rounds (%d evaluated), want 10", len(res.Traces), res.Evaluated)
+	}
+	for i, tr := range res.Traces {
+		if tr.Iteration != 21+i {
+			t.Fatalf("round %d numbered %d, want %d", i, tr.Iteration, 21+i)
+		}
+	}
+}
+
+// The capacity-rule filter lives in the search loop: with targets no
+// candidate can meet, every fine-tuned candidate fails and feeds the rule
+// history, and a later candidate whose sharing is strictly more aggressive
+// than a failure is skipped without fine-tuning. Stats count both.
+func TestOptimizerRuleFilterAndStats(t *testing.T) {
+	w := smallWorld()
+	w.targets = map[int]float64{0: 2, 1: 2}
+	w.accOpts.FineTune.Epochs = 2
+	run := func(rule bool) *core.Result {
+		w.accOpts.UseRuleFilter = rule
+		return w.optimizer(core.Config{
+			Rounds:      12,
+			Seed:        3,
+			DisableMemo: true,
+			Latency:     estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
+		}).Run()
+	}
+	res := run(true)
+	if d := res.Decisions[0]; d.Outcome != explain.OutcomeRejected || d.Rule != explain.RuleAccuracyBudget || d.EpochsRun == 0 {
+		t.Fatalf("first candidate must fine-tune and fail: %+v", d)
+	}
+	var finetuned, skipped int
+	for i, d := range res.Decisions {
+		switch d.Rule {
+		case explain.RuleAccuracyBudget:
+			finetuned++
+		case explain.RuleCapacity:
+			skipped++
+			if d.Fingerprint != "" || d.EpochsRun != 0 || !res.Traces[i].Skipped {
+				t.Fatalf("rule-skipped candidate was evaluated: %+v", d)
+			}
+		default:
+			t.Fatalf("unexpected decision under impossible targets: %+v", d)
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no candidate was skipped by the rule filter")
+	}
+	if res.Stats.FineTuned != finetuned || res.Stats.SkippedByRule != skipped {
+		t.Fatalf("stats %+v disagree with %d fine-tuned / %d skipped decisions", res.Stats, finetuned, skipped)
+	}
+	if off := run(false); off.Stats.SkippedByRule != 0 || off.Stats.FineTuned != len(off.Decisions) {
+		t.Fatalf("rule filter off still skipped: %+v", off.Stats)
+	}
+}
+
+func TestGraphToDOT(t *testing.T) {
+	ds := testutil.TinyFace(151, 8, 4)
+	g := testutil.TinyMultiDNN(152, ds)
+	dot := g.ToDOT("tiny")
+	for _, want := range []string{"digraph", "Input", "ConvBlock", "house", "->"} {
+		if !strings.Contains(dot, want) {
+			t.Fatalf("DOT missing %q:\n%s", want, dot)
+		}
+	}
+	// One edge per node (tree property): count "->" occurrences.
+	if got := strings.Count(dot, "->"); got != g.NodeCount() {
+		t.Fatalf("DOT has %d edges, want %d", got, g.NodeCount())
 	}
 }

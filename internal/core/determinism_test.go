@@ -4,105 +4,88 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/distill"
 	"repro/internal/estimator"
-	"repro/internal/testutil"
 )
 
-// TestParallelOptimizerDeterministicAcrossWorkers guards the worker-pool
-// refactor: the parallel search must visit the same candidate sequence and
-// produce the same Result for any Workers setting, because Workers only
-// controls evaluation concurrency while sampling, filtering, and merging
-// run serially. A regression here means some search state leaked into the
+// TestOptimizerDeterministicAcrossSlots guards the evaluation phase: the
+// batched search must visit the same candidate sequence and produce the
+// same Result for any evaluator slot count, because slots only control
+// evaluation concurrency while sampling, filtering, and merging run
+// serially. A regression here means some search state leaked into the
 // parallel phase (or a tensor kernel became chunking-dependent).
 //
-// Workers=2 with BatchSize=4 is the load-bearing case for -race: it is the
+// 2 slots with BatchSize=4 is the load-bearing case for -race: it is the
 // only configuration here where an estimator slot is reused while other
 // evaluations are still in flight, so a slot-sharing bug (two goroutines on
-// one estimator) shows up in this test and in neither the Workers=1 nor the
-// Workers=4==BatchSize runs.
-func TestParallelOptimizerDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) *core.Result {
-		ds := testutil.TinyFace(141, 64, 32)
-		teacher := testutil.TinyMultiDNN(142, ds)
-		teach := testutil.PretrainTeachers(teacher, ds, 6, 0.004, 143)
-		outs := distill.ComputeTeacherOutputs(teacher, ds.Train.X, 32)
-		targets := map[int]float64{}
-		for id, a := range teach {
-			targets[id] = a - 0.15
-		}
-		accOpts := estimator.AccuracyOptions{
-			FineTune:      distill.Config{LR: 0.003, Epochs: 6, Batch: 16, EvalEvery: 2},
-			UseRuleFilter: true,
-		}
-		opt := core.NewParallelOptimizer(teacher, ds, targets, outs, ds.Train.X, accOpts,
-			core.ParallelConfig{
-				Config: core.Config{
-					// MaxPairsPerPass 1 keeps the candidate space small enough
-					// that the fixed-seed search re-samples structures, so the
-					// memo cache participates in the determinism contract.
-					Rounds:          16,
-					MaxPairsPerPass: 1,
-					Seed:            7,
-					Latency:         estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
-				},
-				Workers:   workers,
-				BatchSize: 4,
-			})
-		return opt.Run()
+// one estimator) shows up in this test and in neither the 1-slot nor the
+// 4-slot (== BatchSize) runs.
+func TestOptimizerDeterministicAcrossSlots(t *testing.T) {
+	run := func(slots int) *core.Result {
+		w := smallWorld()
+		return w.optimizer(core.Config{
+			// MaxPairsPerPass 1 keeps the candidate space small enough that
+			// the fixed-seed search re-samples structures, so the memo cache
+			// participates in the determinism contract.
+			Rounds:          16,
+			MaxPairsPerPass: 1,
+			Seed:            7,
+			BatchSize:       4,
+			Evaluator:       w.evaluator(slots),
+			Latency:         estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
+		}).Run()
 	}
 
 	serial := run(1)
 	if serial.Stats.CacheHits == 0 {
 		t.Fatal("fixture produced no cache hits; the test no longer covers memoization")
 	}
-	for _, workers := range []int{2, 4} {
-		parallel := run(workers)
-		compareResults(t, workers, serial, parallel)
+	for _, slots := range []int{2, 4} {
+		parallel := run(slots)
+		compareResults(t, slots, serial, parallel)
 	}
 }
 
-// compareResults asserts a parallel run matches the Workers=1 reference in
+// compareResults asserts a parallel run matches the 1-slot reference in
 // every search-determined field.
-func compareResults(t *testing.T, workers int, serial, parallel *core.Result) {
+func compareResults(t *testing.T, slots int, serial, parallel *core.Result) {
 	t.Helper()
 	if serial.Evaluated != parallel.Evaluated {
-		t.Fatalf("Evaluated differs: Workers=1 got %d, Workers=%d got %d", serial.Evaluated, workers, parallel.Evaluated)
+		t.Fatalf("Evaluated differs: 1 slot got %d, %d slots got %d", serial.Evaluated, slots, parallel.Evaluated)
 	}
 	if len(serial.Traces) != len(parallel.Traces) {
-		t.Fatalf("Workers=%d: trace count differs: %d vs %d", workers, len(serial.Traces), len(parallel.Traces))
+		t.Fatalf("%d slots: trace count differs: %d vs %d", slots, len(serial.Traces), len(parallel.Traces))
 	}
 	for i := range serial.Traces {
 		s, p := serial.Traces[i], parallel.Traces[i]
 		if s.Iteration != p.Iteration || s.Skipped != p.Skipped || s.FromElite != p.FromElite ||
 			s.Met != p.Met || s.Terminated != p.Terminated || s.EpochsRun != p.EpochsRun ||
 			s.CacheHit != p.CacheHit || s.WarmStarted != p.WarmStarted {
-			t.Fatalf("Workers=%d: trace %d differs:\nWorkers=1: %+v\nWorkers=%d: %+v", workers, i, s, workers, p)
+			t.Fatalf("%d slots: trace %d differs:\n1 slot: %+v\n%d slots: %+v", slots, i, s, slots, p)
 		}
 	}
 	// Cache consultations, rule skips, warm starts, and epoch totals all
 	// happen in the serial phases, so the aggregated stats are part of the
 	// determinism contract.
 	if serial.Stats != parallel.Stats {
-		t.Fatalf("Stats differ:\nWorkers=1: %+v\nWorkers=%d: %+v", serial.Stats, workers, parallel.Stats)
+		t.Fatalf("Stats differ:\n1 slot: %+v\n%d slots: %+v", serial.Stats, slots, parallel.Stats)
 	}
 	if len(serial.Elites) != len(parallel.Elites) {
-		t.Fatalf("Workers=%d: elite count differs: %d vs %d", workers, len(serial.Elites), len(parallel.Elites))
+		t.Fatalf("%d slots: elite count differs: %d vs %d", slots, len(serial.Elites), len(parallel.Elites))
 	}
 	for i := range serial.Elites {
 		s, p := serial.Elites[i], parallel.Elites[i]
 		if s.Iteration != p.Iteration || s.FLOPs != p.FLOPs || s.FromElite != p.FromElite {
-			t.Fatalf("Workers=%d: elite %d differs: iter %d/%d flops %d/%d", workers, i, s.Iteration, p.Iteration, s.FLOPs, p.FLOPs)
+			t.Fatalf("%d slots: elite %d differs: iter %d/%d flops %d/%d", slots, i, s.Iteration, p.Iteration, s.FLOPs, p.FLOPs)
 		}
 		for id, acc := range s.Accuracy {
 			if d := acc - p.Accuracy[id]; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("Workers=%d: elite %d task %d accuracy differs: %.9f vs %.9f", workers, i, id, acc, p.Accuracy[id])
+				t.Fatalf("%d slots: elite %d task %d accuracy differs: %.9f vs %.9f", slots, i, id, acc, p.Accuracy[id])
 			}
 		}
 	}
 	// Best is ranked by measured wall-clock latency, so its identity is
 	// legitimately noisy; only its presence is search-determined.
 	if (serial.Best == nil) != (parallel.Best == nil) {
-		t.Fatalf("Best presence differs: Workers=1 %v, Workers=%d %v", serial.Best != nil, workers, parallel.Best != nil)
+		t.Fatalf("Best presence differs: 1 slot %v, %d slots %v", serial.Best != nil, slots, parallel.Best != nil)
 	}
 }

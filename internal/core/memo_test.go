@@ -15,8 +15,7 @@ import (
 // candidate space small enough that a fixed-seed search revisits structures.
 func TestSearchCacheTransparent(t *testing.T) {
 	run := func(disable bool) *core.Result {
-		teacher, _, _, acc := buildFixture(t)
-		opt := core.NewOptimizer(teacher, acc, core.Config{
+		opt := buildFixture(t).optimizer(core.Config{
 			Rounds:          18,
 			MaxPairsPerPass: 1,
 			Policy:          core.RandomPolicy{},
@@ -84,8 +83,8 @@ func TestSearchCacheTransparent(t *testing.T) {
 // the untrained duplicate: every elite produced by a replay must score the
 // accuracy the cache recorded for it.
 func TestSearchCacheReplaysTrainedWeights(t *testing.T) {
-	teacher, _, _, acc := buildFixture(t)
-	opt := core.NewOptimizer(teacher, acc, core.Config{
+	w := buildFixture(t)
+	opt := w.optimizer(core.Config{
 		Rounds:          18,
 		MaxPairsPerPass: 1,
 		Policy:          core.RandomPolicy{},
@@ -98,7 +97,7 @@ func TestSearchCacheReplaysTrainedWeights(t *testing.T) {
 	}
 	checked := 0
 	for _, el := range res.Elites {
-		measured, err := acc.Eval.Measure(el.Graph)
+		measured, err := w.measure(el.Graph)
 		if err != nil {
 			t.Fatalf("measuring elite from iteration %d: %v", el.Iteration, err)
 		}

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/distill"
 	"repro/internal/estimator"
-	"repro/internal/testutil"
 )
 
 // TestDiskMemoReplayEliminatesDuplicateMeasurements is the persistence
@@ -18,33 +16,19 @@ import (
 func TestDiskMemoReplayEliminatesDuplicateMeasurements(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "memo.json")
 	run := func() *core.Result {
-		ds := testutil.TinyFace(141, 64, 32)
-		teacher := testutil.TinyMultiDNN(142, ds)
-		teach := testutil.PretrainTeachers(teacher, ds, 6, 0.004, 143)
-		outs := distill.ComputeTeacherOutputs(teacher, ds.Train.X, 32)
-		targets := map[int]float64{}
-		for id, a := range teach {
-			targets[id] = a - 0.15
-		}
-		accOpts := estimator.AccuracyOptions{
-			FineTune:      distill.Config{LR: 0.003, Epochs: 6, Batch: 16, EvalEvery: 2},
-			UseRuleFilter: true,
-		}
+		w := smallWorld()
 		memo, err := core.NewDiskMemo(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := core.NewParallelOptimizer(teacher, ds, targets, outs, ds.Train.X, accOpts,
-			core.ParallelConfig{
-				Config: core.Config{
-					Rounds:          16,
-					MaxPairsPerPass: 1,
-					Seed:            7,
-					Memo:            memo,
-					Latency:         estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
-				},
-				BatchSize: 4,
-			})
+		opt := w.optimizer(core.Config{
+			Rounds:          16,
+			MaxPairsPerPass: 1,
+			Seed:            7,
+			Memo:            memo,
+			BatchSize:       4,
+			Latency:         estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 2},
+		})
 		res := opt.Run()
 		if err := memo.Save(); err != nil {
 			t.Fatal(err)

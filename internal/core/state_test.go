@@ -70,16 +70,8 @@ func TestLoadStateMissingDir(t *testing.T) {
 // warm start the best model is the best saved elite, and with extra rounds
 // the search only improves on it.
 func TestResumeSearchFromState(t *testing.T) {
-	ds := testutil.TinyFace(211, 96, 48)
-	teacher := testutil.TinyMultiDNN(212, ds)
-	teach := testutil.PretrainTeachers(teacher, ds, 8, 0.004, 213)
-	outs := computeOutputs(teacher, ds)
-	targets := map[int]float64{}
-	for id, a := range teach {
-		targets[id] = a - 0.12
-	}
-	acc := newEstimator(ds, targets, outs)
-	first := core.NewOptimizer(teacher, acc, core.Config{
+	w := newWorld(211, 96, 48, 8, 0.12, plainOpts)
+	first := w.optimizer(core.Config{
 		Rounds: 6, Seed: 5,
 		Latency: estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 3},
 	}).Run()
@@ -95,8 +87,7 @@ func TestResumeSearchFromState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	acc2 := newEstimator(ds, targets, outs)
-	resumed := core.NewOptimizer(teacher, acc2, core.Config{
+	resumed := w.optimizer(core.Config{
 		Rounds: 4, Seed: 6,
 		InitialElites: elites, StartIteration: iter,
 		Latency: estimator.LatencyOptions{Batch: 2, Warmup: 1, Runs: 3},

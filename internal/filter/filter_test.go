@@ -6,6 +6,9 @@ import (
 
 	"repro/internal/distill"
 	"repro/internal/graph"
+	"repro/internal/mutation"
+	"repro/internal/tensor"
+	"repro/internal/testutil"
 )
 
 func profile(total, shared int64, perTask ...int64) graph.CapacityProfile {
@@ -43,6 +46,44 @@ func TestRuleBasedSkipsMoreAggressive(t *testing.T) {
 	// Equal profile is not strictly more aggressive.
 	if r.ShouldSkip(failed) {
 		t.Fatal("identical profile must not be skipped")
+	}
+}
+
+// On real mutation passes: once a candidate sharing the first blocks of two
+// branches fails, one that shares the next blocks too is strictly more
+// aggressive and is skipped, while the original graph is not.
+func TestRuleBasedSkipsDeeperSharingOfFailure(t *testing.T) {
+	ds := testutil.TinyFace(7, 8, 8)
+	teacher := testutil.TinyMultiDNN(8, ds)
+	mut := mutation.NewMutator(tensor.NewRNG(10))
+	mild, err := mut.Apply(teacher, []graph.Pair{{
+		Host:  mutation.FindNode(teacher, 0, 1),
+		Guest: mutation.FindNode(teacher, 1, 1),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggressive, err := mut.Apply(mild.Graph, []graph.Pair{{
+		Host:  mutation.FindNode(mild.Graph, 0, 2),
+		Guest: mutation.FindNode(mild.Graph, 1, 2),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := func(g *graph.Graph) graph.CapacityProfile {
+		g.RefreshCapacities()
+		return g.Capacity()
+	}
+	r := NewRuleBased()
+	if r.ShouldSkip(profile(mild.Graph)) {
+		t.Fatal("empty history skipped the first candidate")
+	}
+	r.RecordFailure(profile(mild.Graph))
+	if !r.ShouldSkip(profile(aggressive.Graph)) {
+		t.Fatal("more aggressive candidate not skipped after the milder one failed")
+	}
+	if r.ShouldSkip(profile(teacher)) {
+		t.Fatal("the unshared original must not be skipped")
 	}
 }
 

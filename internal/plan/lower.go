@@ -212,7 +212,7 @@ func (c *compiler) lowerLinear(name string, l *nn.Linear, inVal int) int {
 // lowerResidual emits the ResNet basic block as up to four ops. The main
 // path (conv1 -> conv2) and the downsample projection have no mutual data
 // dependency, so the wave scheduler runs conv1 and the downsample in the
-// same wave — intra-block parallelism the closure engine executed serially.
+// same wave — intra-block parallelism the eager walk executes serially.
 func (c *compiler) lowerResidual(name string, l *nn.ResidualBlock, inVal int) int {
 	c1 := c.lowerConv(name+" conv1+bn+relu", l.Conv1, FoldConvBN(l.Conv1, l.BN1), true, 0, 0, inVal)
 	c2 := c.lowerConv(name+" conv2+bn", l.Conv2, FoldConvBN(l.Conv2, l.BN2), false, 0, 0, c1)

@@ -90,8 +90,8 @@ func TestParallelForConcurrent(t *testing.T) {
 
 // TestMatMulDeterministicAcrossCalls asserts repeated blocked matmuls of
 // the same operands produce bitwise-identical results regardless of how
-// chunks land on pool workers — the property the ParallelOptimizer
-// determinism guarantee is built on.
+// chunks land on pool workers — the property the search loop's
+// determinism across evaluator slots is built on.
 func TestMatMulDeterministicAcrossCalls(t *testing.T) {
 	rng := NewRNG(21)
 	a, b := New(129, 65), New(65, 93)
